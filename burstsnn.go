@@ -295,24 +295,16 @@ const (
 	BatchKernelF64 = serve.BatchKernelF64
 )
 
-// LockstepBatch values for ServeConfig.LockstepBatch: auto steers each
-// microbatch with an occupancy feedback controller when the float32
-// kernels dispatch to a packed tier (sse/avx2 — the only regime where
-// lockstep beats the sequential engine); static keeps the fixed
-// ≥6-request rule; on/off force the choice. See
-// ServeConfig.OccupancyCrossover and ServeConfig.ExitHistorySize for
-// the adaptive plane's knobs.
+// LockstepBatch values for ServeConfig.LockstepBatch: auto routes each
+// microbatch by the engine cost measured on the served model (lockstep
+// only where an L-lane lockstep chunk is cheaper than L sequential
+// images); on/off force the choice. See ServeConfig.ExitHistorySize for
+// the exit-aware forming knob.
 const (
-	LockstepAuto   = serve.LockstepAuto
-	LockstepStatic = serve.LockstepStatic
-	LockstepOn     = serve.LockstepOn
-	LockstepOff    = serve.LockstepOff
+	LockstepAuto = serve.LockstepAuto
+	LockstepOn   = serve.LockstepOn
+	LockstepOff  = serve.LockstepOff
 )
-
-// DefaultOccupancyCrossover is the measured occupancy at which lockstep
-// execution breaks even with the sequential engine — the adaptive
-// scheduler's default threshold (ServeConfig.OccupancyCrossover).
-const DefaultOccupancyCrossover = serve.DefaultOccupancyCrossover
 
 // ErrServerOverloaded is returned when the admission plane sheds a
 // request instead of queueing it (full queue, or projected queue wait

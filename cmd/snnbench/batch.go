@@ -347,30 +347,18 @@ func runStaggeredBench(net *snn.Network, set *dataset.Set) (*staggeredResult, er
 // (B, kernel, level) triple, so an f32-avx2 point is never judged
 // against an f32-sse or f64 measurement, and a tier present in only one
 // artifact (different runner capabilities, or a pre-dispatch artifact)
-// is skipped with a note rather than failed. A schema change skips the
-// whole comparison (first run after a format bump records a baseline).
+// is skipped with a note rather than failed. A schema or CPU-count
+// change skips the whole comparison (see comparable).
 func compareBatch(prevPath, newPath string, tolerance float64) error {
-	load := func(path string) (*batchArtifact, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var art batchArtifact
-		if err := json.Unmarshal(data, &art); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &art, nil
-	}
-	prev, err := load(prevPath)
+	prev, err := loadArtifact[batchArtifact](prevPath)
 	if err != nil {
 		return err
 	}
-	cur, err := load(newPath)
+	cur, err := loadArtifact[batchArtifact](newPath)
 	if err != nil {
 		return err
 	}
-	if prev.Schema != cur.Schema {
-		fmt.Fprintf(os.Stderr, "batch: schema changed (%s -> %s), skipping comparison\n", prev.Schema, cur.Schema)
+	if !comparable("batch", prev.Schema, cur.Schema, prev.CPUs, cur.CPUs) {
 		return nil
 	}
 	key := func(p batchPoint) string { return fmt.Sprintf("B=%d/%s/%s", p.B, p.Kernel, p.Level) }

@@ -248,30 +248,18 @@ func measureFleetPoint(net *dnn.Network, set *dataset.Set, images [][]float64,
 }
 
 // compareFleet is the fleet-saturation regression gate: like-for-like
-// shard counts only, judged on saturation throughput. A schema change
-// skips the comparison (baseline re-record).
+// shard counts only, judged on saturation throughput. A schema or
+// CPU-count change skips the comparison (see comparable).
 func compareFleet(prevPath, newPath string, tolerance float64) error {
-	load := func(path string) (*fleetArtifact, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var art fleetArtifact
-		if err := json.Unmarshal(data, &art); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &art, nil
-	}
-	prev, err := load(prevPath)
+	prev, err := loadArtifact[fleetArtifact](prevPath)
 	if err != nil {
 		return err
 	}
-	cur, err := load(newPath)
+	cur, err := loadArtifact[fleetArtifact](newPath)
 	if err != nil {
 		return err
 	}
-	if prev.Schema != cur.Schema {
-		fmt.Fprintf(os.Stderr, "fleet: schema changed (%s -> %s), skipping comparison\n", prev.Schema, cur.Schema)
+	if !comparable("fleet", prev.Schema, cur.Schema, prev.CPUs, cur.CPUs) {
 		return nil
 	}
 	prevPts := map[int]fleetPoint{}

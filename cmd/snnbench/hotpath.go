@@ -215,40 +215,30 @@ func runHotpath(outPath string) error {
 // gated benchmark's ns/op regressed by more than tolerance (fractional,
 // e.g. 0.20 = 20%). Reference-path benchmarks are informational and the
 // parallel serving-throughput benchmark is too machine-sensitive, so
-// only the fast-path/serve benchmarks gate.
+// only the fast-path/serve benchmarks gate. A schema or CPU-count change
+// skips the comparison (see comparable).
 func compareHotpath(prevPath, newPath string, tolerance float64) error {
-	load := func(path string) (map[string]hotpathBench, string, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, "", err
-		}
-		var art hotpathArtifact
-		if err := json.Unmarshal(data, &art); err != nil {
-			return nil, "", fmt.Errorf("%s: %w", path, err)
-		}
-		m := map[string]hotpathBench{}
-		for _, b := range art.Benchmarks {
-			m[b.Name] = b
-		}
-		return m, art.Schema, nil
-	}
-	prev, prevSchema, err := load(prevPath)
+	prevArt, err := loadArtifact[hotpathArtifact](prevPath)
 	if err != nil {
 		return err
 	}
-	cur, curSchema, err := load(newPath)
+	cur, err := loadArtifact[hotpathArtifact](newPath)
 	if err != nil {
 		return err
 	}
-	if prevSchema != curSchema {
-		fmt.Fprintf(os.Stderr, "hotpath: schema changed (%s -> %s), skipping comparison\n", prevSchema, curSchema)
+	if !comparable("hotpath", prevArt.Schema, cur.Schema, prevArt.CPUs, cur.CPUs) {
 		return nil
+	}
+	prev := map[string]hotpathBench{}
+	for _, b := range prevArt.Benchmarks {
+		prev[b.Name] = b
 	}
 	gated := func(name string) bool {
 		return !strings.HasSuffix(name, "/ref") && name != "serving-throughput"
 	}
 	var failures []string
-	for name, c := range cur {
+	for _, c := range cur.Benchmarks {
+		name := c.Name
 		p, ok := prev[name]
 		if !ok || !gated(name) || p.NsPerOp <= 0 {
 			continue

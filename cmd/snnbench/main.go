@@ -15,6 +15,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -257,4 +258,33 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "report written to %s\n", *out)
 	}
+}
+
+// loadArtifact reads one BENCH_*.json artifact for a -*-prev gate.
+func loadArtifact[T any](path string) (*T, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var art T
+	if err := json.Unmarshal(data, &art); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &art, nil
+}
+
+// comparable reports whether a -*-prev gate may judge the current
+// artifact against the previous one. A schema change or a different CPU
+// count makes the points unlike, so the gate is skipped with a note on
+// stderr (the first run after such a change records a baseline).
+func comparable(gate, prevSchema, curSchema string, prevCPUs, curCPUs int) bool {
+	switch {
+	case prevSchema != curSchema:
+		fmt.Fprintf(os.Stderr, "%s: schema changed (%s -> %s), skipping comparison\n", gate, prevSchema, curSchema)
+	case prevCPUs != curCPUs:
+		fmt.Fprintf(os.Stderr, "%s: CPU count changed (%d -> %d), skipping comparison\n", gate, prevCPUs, curCPUs)
+	default:
+		return true
+	}
+	return false
 }

@@ -85,9 +85,8 @@ func main() {
 		margin   = flag.Float64("margin", 0, "required per-step top1-top2 readout margin for early exit (0 = none)")
 		maxBatch = flag.Int("maxbatch", 8, "microbatch size limit")
 		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "microbatch max delay")
-		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (occupancy feedback controller steers each batch when the float32 kernels dispatch to a packed tier), static (fixed ≥6-request rule on packed tiers), on, or off")
+		lockstep = lockstepFlagVar("lockstep", serve.LockstepAuto, "execute microbatches through the lockstep batch simulator: auto (route each batch by the engine cost measured on the served model), on, or off")
 		kernel   = flag.String("kernel", serve.BatchKernelF32, "lockstep compute plane: f32 (float32 kernels, tolerance contract), f64 (bit-identical to sequential), or a forced float32 dispatch tier — f32-purego, f32-sse, f32-avx2 (fails if the machine cannot run it)")
-		occXover = flag.Float64("occupancy-crossover", 0, "adaptive scheduler: estimated batch occupancy at which lockstep dispatch pays (0 = measured default)")
 		exitHist = flag.Int("exit-history", 0, "exit-aware batch forming: per-model (image-hash → exit-step) history entries (0 = default, negative disables)")
 		dir      = flag.String("dir", "", "model cache directory (default: system temp)")
 		tiny     = flag.Bool("tiny", false, "use the reduced test-scale model recipes")
@@ -206,17 +205,16 @@ func main() {
 			exit.MinSteps = 32
 		}
 		cfg := burstsnn.ServeConfig{
-			MaxBatch:           *maxBatch,
-			MaxDelay:           *maxDelay,
-			LockstepBatch:      string(*lockstep),
-			OccupancyCrossover: *occXover,
-			ExitHistorySize:    *exitHist,
-			BatchKernel:        batchKernel,
-			RequestTimeout:     *reqTimeout,
-			ResponseCacheSize:  *respCache,
-			ResponseCacheTTL:   *respCacheTTL,
-			Degrade:            *degrade,
-			Logger:             logger,
+			MaxBatch:          *maxBatch,
+			MaxDelay:          *maxDelay,
+			LockstepBatch:     string(*lockstep),
+			ExitHistorySize:   *exitHist,
+			BatchKernel:       batchKernel,
+			RequestTimeout:    *reqTimeout,
+			ResponseCacheSize: *respCache,
+			ResponseCacheTTL:  *respCacheTTL,
+			Degrade:           *degrade,
+			Logger:            logger,
 		}
 		if err := runSelftest(hybrid, exit, cfg, *steps, *replicas, *requests, *workers, *traceOut); err != nil {
 			fail(err)
@@ -247,7 +245,6 @@ func main() {
 			MaxDelay:           *maxDelay,
 			QueueDepth:         *queueDepth,
 			LockstepBatch:      string(*lockstep),
-			OccupancyCrossover: *occXover,
 			ExitHistorySize:    *exitHist,
 			BatchKernel:        batchKernel,
 			RequestTimeout:     *reqTimeout,
@@ -628,7 +625,7 @@ func getJSON(client *http.Client, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// lockstepMode is the -lockstep flag value: auto/static/on/off, with
+// lockstepMode is the -lockstep flag value: auto/on/off, with
 // the boolean spellings of the flag's PR-4 ancestry still accepted —
 // IsBoolFlag makes a bare `-lockstep` parse as "true" (= on), exactly
 // like the flag.Bool it used to be.
@@ -646,14 +643,14 @@ func (m *lockstepMode) IsBoolFlag() bool { return true }
 
 func (m *lockstepMode) Set(s string) error {
 	switch s {
-	case serve.LockstepAuto, serve.LockstepStatic, serve.LockstepOn, serve.LockstepOff:
+	case serve.LockstepAuto, serve.LockstepOn, serve.LockstepOff:
 		*m = lockstepMode(s)
 	case "true":
 		*m = serve.LockstepOn
 	case "false":
 		*m = serve.LockstepOff
 	default:
-		return fmt.Errorf("want auto, static, on, or off, got %q", s)
+		return fmt.Errorf("want auto, on, or off, got %q", s)
 	}
 	return nil
 }

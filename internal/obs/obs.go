@@ -91,3 +91,7 @@ type StageTimes struct {
 	// batch simulator (vs the sequential engine).
 	Lockstep bool
 }
+
+// Engine is the engine's share of the spans: encode + simulate +
+// readout.
+func (t StageTimes) Engine() time.Duration { return t.Encode + t.Simulate + t.Readout }

@@ -24,9 +24,8 @@ var ErrClosed = errors.New("serve: batcher closed")
 var ErrOverloaded = errors.New("serve: overloaded")
 
 // drainEWMAWeight smooths the measured per-request drain time that
-// backs projected-wait shedding and Retry-After hints (same weight as
-// the scheduler's occupancy filter — both smooth bursty per-batch
-// samples).
+// backs projected-wait shedding and Retry-After hints (the same weight
+// as the queue-pressure filter — both smooth bursty per-batch samples).
 const drainEWMAWeight = 0.25
 
 // Batcher is the microbatching request queue in front of a replica pool.
@@ -264,7 +263,10 @@ func (b *Batcher) SubmitTraced(ctx context.Context, image []float64, p ExitPolic
 		b.sending.Done()
 	default:
 		// Queue full: shed now. Blocking here would just convert the
-		// overload into client-side timeouts with no signal.
+		// overload into client-side timeouts with no signal. The entry
+		// sample above may predate the fill (a burst samples before any
+		// of it enqueues), so the shed itself folds in the full queue.
+		b.observePressure()
 		b.sending.Done()
 		return Outcome{}, obs.StageTimes{}, flags, ErrOverloaded
 	}
@@ -603,10 +605,11 @@ func (b *Batcher) dispatch() {
 // exit history (when attached) predicts each lane's exit step and the
 // batch is re-ordered so lanes predicted to retire together share a
 // lockstep chunk; the Scheduler then picks lockstep or sequential
-// execution per its policy, and both execution paths report measured
-// occupancy back to it. Scheduling only reorders microbatch membership
-// — on the default float32 plane both paths produce the outcomes pinned
-// by the tolerance contract; on the float64 plane they are bit-identical.
+// execution per its policy, and both execution paths report their
+// measured engine time back to it. Scheduling only reorders microbatch
+// membership — on the default float32 plane both paths produce the
+// outcomes pinned by the tolerance contract; on the float64 plane they
+// are bit-identical.
 func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 	if b.fair != nil {
 		if err := b.fair.Acquire(b.closeCtx); err != nil {
@@ -692,7 +695,7 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 		}
 	}
 	if b.sched != nil && len(live) > 1 {
-		dec := b.sched.Decide(len(live), preds)
+		dec := b.sched.Decide(len(live))
 		if b.metrics != nil {
 			b.metrics.ObserveSchedDecision(dec)
 		}
@@ -700,10 +703,7 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 			// The lockstep simulator caps a batch at snn.MaxBatchLanes
 			// lanes; a MaxBatch configured beyond that runs in chunks
 			// rather than silently degrading to sequential execution.
-			laneCap := b.maxBatch
-			if laneCap > snn.MaxBatchLanes {
-				laneCap = snn.MaxBatchLanes
-			}
+			laneCap := min(b.maxBatch, snn.MaxBatchLanes)
 			bn, err := rep.Batch(laneCap, b.f32)
 			if err != nil {
 				// The steering plane asked for lockstep but the replica
@@ -731,15 +731,14 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 						policies[i] = req.policy
 					}
 					outs, batchSteps, times := ClassifyBatchStaged(bn, images, policies)
+					b.sched.ObserveCost(true, len(chunk), times.Engine())
 					times.Form = form
-					saved, laneSteps := 0, 0
+					saved := 0
 					for i, req := range chunk {
 						saved += batchSteps - outs[i].Steps
-						laneSteps += outs[i].Steps
 						b.observeOutcome(req, chunkPreds[i], outs[i])
 						deliver(req, batchResult{out: outs[i], stages: times}, dups, execStart)
 					}
-					b.sched.ObserveOccupancy(len(chunk), batchSteps, laneSteps)
 					if b.metrics != nil {
 						b.metrics.ObserveBatch(len(chunk), saved)
 					}
@@ -747,28 +746,22 @@ func (b *Batcher) run(reqs []*batchRequest, form time.Duration) {
 			}
 		}
 	}
-	// Sequential path: the scheduler declined lockstep (or a lone lane
-	// remained after chunking). A multi-lane sequential group still
-	// reports the occupancy its lockstep batch *would* have had (summed
-	// steps over max steps), so the adaptive controller keeps measuring
-	// the workload without dispatching exploratory lockstep batches.
-	maxSteps, sumSteps, seqLanes := 0, 0, len(live)
+	// Sequential path: the scheduler declined lockstep, a lone lane
+	// remained after chunking, or the batch had one request. Every image
+	// reports its engine time, so the sequential cost stays measured
+	// even while the scheduler steers lockstep.
 	for i, req := range live {
 		out, times := ClassifyStaged(rep.Net, req.image, req.policy)
+		if b.sched != nil {
+			b.sched.ObserveCost(false, 1, times.Engine())
+		}
 		times.Form = form
 		pred := 0
 		if preds != nil {
 			pred = preds[i]
 		}
 		b.observeOutcome(req, pred, out)
-		sumSteps += out.Steps
-		if out.Steps > maxSteps {
-			maxSteps = out.Steps
-		}
 		deliver(req, batchResult{out: out, stages: times}, dups, execStart)
-	}
-	if b.sched != nil && seqLanes > 1 {
-		b.sched.ObserveOccupancy(seqLanes, maxSteps, sumSteps)
 	}
 }
 

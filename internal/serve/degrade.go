@@ -6,7 +6,7 @@ import "sync"
 // fill fraction (depth / capacity) sampled at every submit; the enter
 // and exit thresholds are deliberately far apart so the mode doesn't
 // flap at the boundary (classic hysteresis), and the EWMA weight
-// matches AdaptiveSched's occupancy filter — both are smoothing the
+// matches the batcher's drain-time filter — both are smoothing the
 // same kind of bursty per-event signal.
 const (
 	DefaultDegradeEnterPressure = 0.75

@@ -211,66 +211,42 @@ func TestMetricsReportsDispatchTier(t *testing.T) {
 	}
 }
 
-// TestLockstepAutoResolution pins the scheduler-resolution rule: the
-// auto default installs the adaptive occupancy controller exactly when
-// the float32 kernels dispatch to a packed tier (sse or avx2 — the only
-// regime where lockstep can beat the sequential engine), static keeps
-// the fixed ≥6-request rule on packed tiers, and explicit on/off always
-// win with the forced static thresholds.
+// TestLockstepAutoResolution pins the scheduler-resolution rule: every
+// mode installs the cost scheduler — auto routes by measured cost on
+// every kernel tier (no tier is assumed to lose), on and off force the
+// route — and the deleted static mode is rejected like any other
+// unknown value.
 func TestLockstepAutoResolution(t *testing.T) {
-	defer kernels.ForceLevel("")
 	net, set := testModel(t)
-	for _, lv := range kernels.Available() {
-		if err := kernels.ForceLevel(lv); err != nil {
-			t.Fatal(err)
+	for mode, name := range map[string]string{LockstepAuto: "cost", LockstepOn: "lockstep", LockstepOff: "sequential"} {
+		s := New(Config{LockstepBatch: mode})
+		if _, err := s.Register(ModelConfig{
+			Name:        "digits",
+			Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
+			Steps:       testSteps,
+			Replicas:    1,
+			NormSamples: 16,
+		}, net, set.Train); err != nil {
+			t.Fatalf("mode %s: %v", mode, err)
 		}
-		packed := lv != kernels.LevelPurego
-		for _, mode := range []string{LockstepAuto, LockstepStatic, LockstepOn, LockstepOff} {
-			s := New(Config{LockstepBatch: mode})
-			if _, err := s.Register(ModelConfig{
-				Name:        "digits",
-				Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
-				Steps:       testSteps,
-				Replicas:    1,
-				NormSamples: 16,
-			}, net, set.Train); err != nil {
-				t.Fatalf("tier %s mode %s: %v", lv, mode, err)
-			}
-			s.mu.Lock()
-			sched := s.entries["digits"].batcher.sched
-			s.mu.Unlock()
-			switch {
-			case mode == LockstepAuto && packed:
-				if _, ok := sched.(*AdaptiveSched); !ok {
-					t.Fatalf("tier %s mode %s: scheduler = %T, want *AdaptiveSched", lv, mode, sched)
-				}
-			default:
-				want := 0
-				switch {
-				case mode == LockstepOn:
-					want = 2
-				case mode == LockstepStatic && packed:
-					want = autoLockstepMinLanes
-				}
-				st, ok := sched.(*StaticSched)
-				if !ok {
-					t.Fatalf("tier %s mode %s: scheduler = %T, want *StaticSched", lv, mode, sched)
-				}
-				if st.Min() != want {
-					t.Fatalf("tier %s mode %s: static min = %v, want %v", lv, mode, st.Min(), want)
-				}
-			}
-			_ = s.Shutdown(context.Background())
+		s.mu.Lock()
+		sched := s.entries["digits"].batcher.sched
+		s.mu.Unlock()
+		if cs, ok := sched.(*CostSched); !ok || cs.Name() != name {
+			t.Fatalf("mode %s: scheduler %T %q, want *CostSched %q", mode, sched, sched.Name(), name)
 		}
+		_ = s.Shutdown(context.Background())
 	}
-	s := New(Config{LockstepBatch: "sometimes"})
-	if _, err := s.Register(ModelConfig{
-		Name:        "digits",
-		Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
-		Steps:       testSteps,
-		NormSamples: 16,
-	}, net, set.Train); err == nil {
-		t.Fatal("invalid LockstepBatch value accepted")
+	for _, mode := range []string{"static", "sometimes"} {
+		s := New(Config{LockstepBatch: mode})
+		if _, err := s.Register(ModelConfig{
+			Name:        "digits",
+			Hybrid:      core.NewHybrid(coding.Phase, coding.Burst),
+			Steps:       testSteps,
+			NormSamples: 16,
+		}, net, set.Train); err == nil {
+			t.Fatalf("invalid LockstepBatch value %q accepted", mode)
+		}
 	}
 }
 
@@ -304,7 +280,7 @@ func TestBatcherRunsF32Lockstep(t *testing.T) {
 	}()
 
 	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), F32: true, MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
+		Metrics: metrics, Sched: forceSched(true), F32: true, MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
 	})
 	defer b.Close()
 	var wg sync.WaitGroup
@@ -336,9 +312,9 @@ func TestBatcherRunsF32Lockstep(t *testing.T) {
 // unique request once, answers every duplicate with its representative's
 // outcome, and counts the fan-outs in dedupedRequests.
 func TestBatcherDedupesIdenticalRequests(t *testing.T) {
-	for _, lockstepMin := range []int{0, 2} {
+	for _, lockstep := range []bool{false, true} {
 		name := "sequential"
-		if lockstepMin > 0 {
+		if lockstep {
 			name = "lockstep"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -360,12 +336,8 @@ func TestBatcherDedupesIdenticalRequests(t *testing.T) {
 				wantB = Classify(rep.Net, image, policyB)
 			}()
 
-			var sched Scheduler
-			if lockstepMin > 0 {
-				sched = NewStaticSched(lockstepMin)
-			}
 			b := NewBatcher(pool, BatcherConfig{
-				Metrics: metrics, Sched: sched, MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
+				Metrics: metrics, Sched: forceSched(lockstep), MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
 			})
 			defer b.Close()
 			type sub struct {

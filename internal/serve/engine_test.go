@@ -162,7 +162,7 @@ func TestBatcherRunsLockstepBatches(t *testing.T) {
 
 	// Generous delay so all four submissions join one batch.
 	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
+		Metrics: metrics, Sched: forceSched(true), MaxBatch: 4, MaxDelay: 300 * time.Millisecond,
 	})
 	defer b.Close()
 	var wg sync.WaitGroup
@@ -198,7 +198,7 @@ func TestBatcherClampsLaneCap(t *testing.T) {
 	pool, image := testPool(t, 1)
 	metrics := NewMetrics()
 	b := NewBatcher(pool, BatcherConfig{
-		Metrics: metrics, Sched: NewStaticSched(2), MaxBatch: 128, MaxDelay: 300 * time.Millisecond,
+		Metrics: metrics, Sched: forceSched(true), MaxBatch: 128, MaxDelay: 300 * time.Millisecond,
 	})
 	defer b.Close()
 	policy := ExitPolicy{MaxSteps: 16}

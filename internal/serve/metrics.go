@@ -52,8 +52,7 @@ type Metrics struct {
 	stage [obs.NumStages]*obs.Histogram
 	// occupancy histograms executed lockstep batches by lane count, so
 	// the batcher's occupancy signal is a distribution, not just the
-	// mean (the occupancy-adaptive scheduler steers on the same signal,
-	// fed per-batch through Scheduler.ObserveOccupancy).
+	// mean.
 	occupancy *obs.Histogram
 	// exitPredErr histograms |predicted − actual| exit steps for lanes
 	// the exit history carried a prediction for (the le=0 bucket counts
@@ -368,7 +367,7 @@ type Snapshot struct {
 	// at build time: "f64", or the float32 tier actually running: "f32" (pure Go), "f32-sse", or "f32-avx2".
 	BatchKernel string `json:"batchKernel,omitempty"`
 	// Scheduler names the steering policy resolved at Register time
-	// ("adaptive(crossover=2)", "static(min=6)", "sequential").
+	// ("cost", or "lockstep" / "sequential" when forced).
 	Scheduler string `json:"scheduler,omitempty"`
 	// SchedLockstepBatches/SchedSequentialBatches count the scheduling
 	// plane's verdicts for multi-request batches, and SchedReasons breaks

@@ -1,47 +1,45 @@
 package serve
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"burstsnn/internal/coding"
+	"burstsnn/internal/snn"
 )
 
 // This file is the serving scheduling plane: every decision about *how*
 // a formed microbatch executes — lockstep through the batch simulator or
 // back to back on the replica, and in what lane order — lives behind the
 // Scheduler interface instead of constants scattered through the
-// batcher. Two implementations ship: StaticSched (the fixed
-// request-count rule serving used through PR 5) and AdaptiveSched (a
-// per-microbatch feedback controller steered by measured occupancy,
-// the LockstepBatch "auto" default). Scheduling is outcome-invariant by
-// construction: a scheduler only reorders which requests share a
-// microbatch and picks the execution mode — per-request Outcomes stay
-// pinned by the bit-identity/tolerance contracts either way.
+// batcher. One implementation ships: CostSched, which routes each
+// microbatch by the engine cost it has measured on the model it serves.
+// Scheduling is outcome-invariant by construction: a scheduler only
+// reorders which requests share a microbatch and picks the execution
+// mode — per-request Outcomes stay pinned by the bit-identity/tolerance
+// contracts either way.
 
 // Decision reasons, the `reason` label on the steering counters
 // (burstsnn_sched_decisions_total and Snapshot.SchedReasons). They make
 // a steering regression diagnosable from a metrics scrape alone: a
-// plane stuck on "cold-start" never measured a batch, one stuck on
-// "occupancy-low" is seeing exits erode its batches.
+// plane stuck on "unmeasured" never measured one of its routes, one
+// whose "explore" count grows with traffic keeps finding its
+// measurements stale.
 const (
-	// ReasonDisabled: the policy never dispatches lockstep (LockstepOff,
-	// an unpacked tier, or the f64 plane under auto/static).
-	ReasonDisabled = "disabled"
-	// ReasonBelowMin: fewer live requests than the static threshold.
-	ReasonBelowMin = "below-min"
-	// ReasonStaticMin: the static request-count rule fired (LockstepOn
-	// uses the rule with threshold 2, so forced-on batches land here).
-	ReasonStaticMin = "static-min"
-	// ReasonColdStart: the adaptive controller had no occupancy
-	// measurements yet and fell back to the static rule.
-	ReasonColdStart = "cold-start"
-	// ReasonOccHigh / ReasonOccLow: the adaptive controller estimated
-	// the batch's occupancy above / below the lockstep crossover.
-	ReasonOccHigh = "occupancy-high"
-	ReasonOccLow  = "occupancy-low"
+	// ReasonForced: -lockstep on/off pinned the route.
+	ReasonForced = "forced"
+	// ReasonCost: both routes were measured at this lane count and the
+	// cheaper one won.
+	ReasonCost = "cost"
+	// ReasonExplore: the batch runs a route that is unmeasured or stale
+	// at this lane count, to measure it.
+	ReasonExplore = "explore"
+	// ReasonUnmeasured: a route is unmeasured but it was not this
+	// batch's turn to explore; the batch runs sequentially, the route
+	// every replica can run.
+	ReasonUnmeasured = "unmeasured"
 )
 
 // Decision is a scheduler's verdict for one formed microbatch.
@@ -52,195 +50,149 @@ type Decision struct {
 	// Reason names why (the Reason* constants), for the steering
 	// counters and the selftest decision trace.
 	Reason string
-	// EstOccupancy is the occupancy estimate the decision was based on
-	// (0 when the policy doesn't estimate, e.g. the static rules).
-	EstOccupancy float64
 }
 
 // Scheduler owns the lockstep-vs-sequential decision for multi-request
 // microbatches. Implementations must be safe for concurrent use: the
 // batcher calls Decide from every batch-execution goroutine and feeds
-// ObserveOccupancy back from both execution paths.
+// ObserveCost back from both execution paths.
 type Scheduler interface {
 	// Decide picks the execution mode for a formed microbatch of lanes
-	// live (deduped) requests. preds carries the exit-history
-	// predictions aligned with the batch's lanes — preds[i] <= 0 means
-	// lane i has no prediction; preds may be nil when no history is
-	// attached.
-	Decide(lanes int, preds []int) Decision
-	// ObserveOccupancy feeds back one executed multi-request batch:
-	// the lane count, the batch's lockstep step count (its slowest
-	// lane), and the per-lane exit-step sum. Sequential dispatches
-	// report the same triple for the batch they *would* have been
-	// (max steps, summed steps), so the controller keeps measuring the
-	// workload's occupancy even while it steers sequential — no
-	// exploration traffic needed.
-	ObserveOccupancy(lanes, batchSteps, laneStepsSum int)
+	// live (deduped) requests.
+	Decide(lanes int) Decision
+	// ObserveCost feeds back one executed route's engine time
+	// (encode + simulate + readout): one image on the sequential route
+	// (lanes 1, lockstep false), or one lockstep chunk of lanes live
+	// lanes.
+	ObserveCost(lockstep bool, lanes int, engine time.Duration)
 	// Name identifies the policy in /metrics and bench output.
 	Name() string
 }
 
-// StaticSched is the fixed request-count rule: batches of at least min
-// live requests run lockstep, smaller ones run sequentially. min <= 0
-// never dispatches lockstep (the LockstepOff policy); min 1 is
-// normalized to 2 (a single request has nothing to lockstep with).
-// This is exactly the scheduling serving shipped through PR 5, kept as
-// one implementation behind the plane interface (LockstepBatch:
-// "static", and the cold-start fallback inside AdaptiveSched).
-type StaticSched struct {
-	min int
-}
-
-// NewStaticSched builds the static rule with the given threshold.
-func NewStaticSched(min int) *StaticSched {
-	if min == 1 {
-		min = 2
-	}
-	return &StaticSched{min: min}
-}
-
-// Min returns the configured threshold (0 = never lockstep).
-func (s *StaticSched) Min() int { return s.min }
-
-// Decide applies the request-count rule.
-func (s *StaticSched) Decide(lanes int, _ []int) Decision {
-	switch {
-	case s.min <= 0:
-		return Decision{Reason: ReasonDisabled}
-	case lanes >= s.min:
-		return Decision{Lockstep: true, Reason: ReasonStaticMin}
-	default:
-		return Decision{Reason: ReasonBelowMin}
-	}
-}
-
-// ObserveOccupancy is a no-op: the static rule does not measure.
-func (s *StaticSched) ObserveOccupancy(lanes, batchSteps, laneStepsSum int) {}
-
-// Name identifies the policy.
-func (s *StaticSched) Name() string {
-	if s.min <= 0 {
-		return "sequential"
-	}
-	return fmt.Sprintf("static(min=%d)", s.min)
-}
-
-// DefaultOccupancyCrossover is the measured occupancy at which lockstep
-// execution breaks even with the sequential engine on the packed
-// dispatch tiers: BENCH_batch.json brackets the crossover between the
-// B=4 point (occupancy ≈1.6, lockstep ~0.7–0.8× sequential) and the B=8
-// point (occupancy ≈2.4, ~1.4–2.0×), so the default takes the midpoint
-// of the bracket. Config.OccupancyCrossover overrides it per server.
-const DefaultOccupancyCrossover = 2.0
-
-// Adaptive controller tuning: the EWMA weight for new occupancy
-// samples, and how many measured batches the controller wants before it
-// trusts its estimate over the static cold-start rule.
+// Cost scheduler tuning. costEWMAWeight smooths per-image and per-chunk
+// engine times, whose spread follows each image's exit step and, on a
+// busy host, preemption. exploreEvery fixes the share of decisions that
+// may explore (one in exploreEvery), and costStaleAfter is how many
+// decisions a route's measurement stays trusted without a fresh sample:
+// the chosen route is re-measured by every batch it runs, so only the
+// rejected one goes stale, and it is re-tried at most once per
+// costStaleAfter decisions at each lane count.
 const (
-	adaptiveEWMAWeight = 0.25
-	adaptiveWarmup     = 3
+	costEWMAWeight = 1.0 / 32
+	exploreEvery   = 8
+	costStaleAfter = 256
 )
 
-// AdaptiveSched is the occupancy feedback controller behind
-// LockstepBatch "auto": instead of a hard-coded request count, it
-// estimates each candidate microbatch's mean lane occupancy and
-// dispatches lockstep exactly when the estimate clears the measured
-// crossover.
-//
-// The estimate composes two signals:
-//
-//   - per-lane exit-step predictions from the model's ExitHistory: k
-//     predicted lanes contribute sum(pred)/max(pred) — the occupancy a
-//     batch of exactly those lanes would run at, assuming retirement at
-//     the predicted steps;
-//   - the measured EWMA occupancy fraction for unpredicted lanes: every
-//     executed multi-request batch (lockstep or sequential — sequential
-//     dispatches report the batch they would have been) contributes a
-//     sample (laneStepsSum/batchSteps)/lanes, the fraction of the batch
-//     each lane stayed live for; m unpredicted lanes contribute
-//     m × EWMA(fraction).
-//
-// Until the controller has seen adaptiveWarmup measured batches (and
-// the candidate is not fully predicted), it falls back to the static
-// request-count rule (ReasonColdStart), so a fresh server behaves
-// exactly like PR 5's auto until measurement takes over.
-type AdaptiveSched struct {
-	crossover float64
-	fallback  *StaticSched
-
-	mu      sync.Mutex
-	samples int
-	occFrac float64 // EWMA of (laneStepsSum/batchSteps)/lanes
+// costEWMA is one route's smoothed engine time. It averages its first
+// 1/costEWMAWeight samples plainly and then decays, and it restarts
+// from scratch when a sample arrives after the measurement went stale,
+// so an old estimate never outweighs a fresh exploration.
+type costEWMA struct {
+	ns float64 // 0 = never measured
+	n  int     // samples since the last restart
+	at int64   // decision count at the last sample
 }
 
-// NewAdaptiveSched builds the controller. crossover <= 0 uses
-// DefaultOccupancyCrossover; fallbackMin is the static cold-start
-// threshold (autoLockstepMinLanes at Register time).
-func NewAdaptiveSched(crossover float64, fallbackMin int) *AdaptiveSched {
-	if crossover <= 0 {
-		crossover = DefaultOccupancyCrossover
+func (e *costEWMA) observe(ns float64, now int64) {
+	if now-e.at > costStaleAfter {
+		e.n = 0
 	}
-	return &AdaptiveSched{crossover: crossover, fallback: NewStaticSched(fallbackMin)}
+	e.n++
+	e.ns += max(1/float64(e.n), costEWMAWeight) * (ns - e.ns)
+	e.at = now
 }
 
-// Decide estimates the candidate batch's occupancy and compares it to
-// the crossover.
-func (a *AdaptiveSched) Decide(lanes int, preds []int) Decision {
-	sumPred, maxPred, unpredicted := 0, 0, lanes
-	for _, p := range preds {
-		if p > 0 {
-			sumPred += p
-			if p > maxPred {
-				maxPred = p
-			}
-			unpredicted--
+// CostSched is the per-model cost scheduler behind LockstepBatch
+// "auto": it sends an L-lane batch lockstep exactly when the measured
+// engine time of an L-lane lockstep chunk is below L times the measured
+// per-image sequential engine time. Both costs come from the batcher's
+// own engine spans on live traffic, so the break-even is the served
+// model's, not a constant calibrated on another network: the burst-coded
+// MLP, which exits in a few steps, measures sequential cheaper at every
+// lane count, while the conv layers of LeNetMini amortize across lanes.
+//
+// A route that has never been measured at L, or whose measurement is
+// older than costStaleAfter decisions, is tried on at most one in
+// exploreEvery decisions. Outcomes do not depend on the route under the
+// tolerance contract, so exploring costs only time. With a forced
+// route (LockstepOn / LockstepOff) Decide never consults the costs.
+type CostSched struct {
+	force *bool // nil: route by cost; else the pinned route
+
+	mu        sync.Mutex
+	decisions int64
+	seq       costEWMA                        // ns per image
+	lock      [snn.MaxBatchLanes + 1]costEWMA // ns per chunk, by live lanes
+}
+
+// NewCostSched builds the scheduler for a LockstepBatch mode: auto
+// routes by measured cost, on and off force the route.
+func NewCostSched(mode string) *CostSched {
+	c := &CostSched{}
+	switch mode {
+	case LockstepOn, LockstepOff:
+		on := mode == LockstepOn
+		c.force = &on
+	}
+	return c
+}
+
+// Decide applies the cost rule (or the forced route) to an L-lane batch.
+// Batches wider than the lockstep simulator run as full-width chunks,
+// so they are judged at the simulator's width.
+func (c *CostSched) Decide(lanes int) Decision {
+	if c.force != nil {
+		return Decision{Lockstep: *c.force, Reason: ReasonForced}
+	}
+	l := min(lanes, snn.MaxBatchLanes)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	explore := c.decisions%exploreEvery == 0
+	c.decisions++
+	seq, lock := c.seq, c.lock[l]
+	if explore {
+		if c.stale(lock) {
+			return Decision{Lockstep: true, Reason: ReasonExplore}
+		}
+		if c.stale(seq) {
+			return Decision{Reason: ReasonExplore}
 		}
 	}
-	a.mu.Lock()
-	samples, frac := a.samples, a.occFrac
-	a.mu.Unlock()
-	if samples < adaptiveWarmup && unpredicted > 0 {
-		d := a.fallback.Decide(lanes, nil)
-		d.Reason = ReasonColdStart
-		return d
+	if seq.ns == 0 || lock.ns == 0 {
+		return Decision{Reason: ReasonUnmeasured}
 	}
-	est := float64(unpredicted) * frac
-	if maxPred > 0 {
-		est += float64(sumPred) / float64(maxPred)
-	}
-	if est >= a.crossover {
-		return Decision{Lockstep: true, Reason: ReasonOccHigh, EstOccupancy: est}
-	}
-	return Decision{Reason: ReasonOccLow, EstOccupancy: est}
+	return Decision{Lockstep: lock.ns < float64(l)*seq.ns, Reason: ReasonCost}
 }
 
-// ObserveOccupancy folds one executed batch into the EWMA.
-func (a *AdaptiveSched) ObserveOccupancy(lanes, batchSteps, laneStepsSum int) {
-	if lanes < 2 || batchSteps <= 0 || laneStepsSum <= 0 {
+func (c *CostSched) stale(e costEWMA) bool {
+	return e.ns == 0 || c.decisions-e.at > costStaleAfter
+}
+
+// ObserveCost folds one executed route's engine time into its EWMA.
+func (c *CostSched) ObserveCost(lockstep bool, lanes int, engine time.Duration) {
+	if engine <= 0 || lanes < 1 || lanes > snn.MaxBatchLanes {
 		return
 	}
-	sample := float64(laneStepsSum) / float64(batchSteps) / float64(lanes)
-	a.mu.Lock()
-	if a.samples == 0 {
-		a.occFrac = sample
+	ns := float64(engine.Nanoseconds())
+	c.mu.Lock()
+	if lockstep {
+		c.lock[lanes].observe(ns, c.decisions)
 	} else {
-		a.occFrac += adaptiveEWMAWeight * (sample - a.occFrac)
+		c.seq.observe(ns, c.decisions)
 	}
-	a.samples++
-	a.mu.Unlock()
-}
-
-// Stats exposes the controller state (measured batches, EWMA occupancy
-// fraction) for tests and the bench harness.
-func (a *AdaptiveSched) Stats() (samples int, occFrac float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.samples, a.occFrac
+	c.mu.Unlock()
 }
 
 // Name identifies the policy.
-func (a *AdaptiveSched) Name() string {
-	return fmt.Sprintf("adaptive(crossover=%.2g)", a.crossover)
+func (c *CostSched) Name() string {
+	switch {
+	case c.force == nil:
+		return "cost"
+	case *c.force:
+		return "lockstep"
+	default:
+		return "sequential"
+	}
 }
 
 // OrderByPredictedExit returns the lane indices 0..len(preds)-1 stably

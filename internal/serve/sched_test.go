@@ -11,108 +11,150 @@ import (
 	"burstsnn/internal/coding"
 )
 
-func TestStaticSchedRule(t *testing.T) {
-	cases := []struct {
-		min    int
-		lanes  int
-		want   bool
-		reason string
-	}{
-		{0, 8, false, ReasonDisabled},
-		{-1, 8, false, ReasonDisabled},
-		{6, 5, false, ReasonBelowMin},
-		{6, 6, true, ReasonStaticMin},
-		{6, 8, true, ReasonStaticMin},
-		{2, 2, true, ReasonStaticMin},
-		// min 1 normalizes to 2: a single request has nothing to lockstep with.
-		{1, 1, false, ReasonBelowMin},
-		{1, 2, true, ReasonStaticMin},
+// forceSched pins every multi-request batch to one route, so a test
+// exercises that route whatever its measured cost.
+type forceSched bool
+
+func (f forceSched) Decide(int) Decision                { return Decision{Lockstep: bool(f), Reason: ReasonForced} }
+func (forceSched) ObserveCost(bool, int, time.Duration) {}
+func (forceSched) Name() string                         { return "forced" }
+
+// costModel is a synthetic engine: per-image sequential time, and the
+// lockstep chunk time at each lane count.
+type costModel struct {
+	seq  time.Duration
+	lock func(lanes int) time.Duration
+}
+
+// mlpLike: a few-step burst-coded MLP, where a lockstep chunk costs
+// more per image than the sequential engine at every lane count (the
+// traced 190 vs 166 µs/img at B=4).
+var mlpLike = costModel{seq: 166 * time.Microsecond, lock: func(l int) time.Duration {
+	return time.Duration(l) * 190 * time.Microsecond
+}}
+
+// cnnLike: conv layers that amortize across lanes — lockstep is dearer
+// than two sequential images at L=2 and cheaper from L=3 on.
+var cnnLike = costModel{seq: time.Millisecond, lock: func(l int) time.Duration {
+	return 2*time.Millisecond + time.Duration(l)*200*time.Microsecond
+}}
+
+// drive runs n scheduling rounds at lanes, feeding each decision's
+// route back at the model's cost exactly as the batcher does, and
+// returns the decisions.
+func drive(c *CostSched, m costModel, lanes, n int) []Decision {
+	ds := make([]Decision, n)
+	for i := range ds {
+		ds[i] = c.Decide(lanes)
+		if ds[i].Lockstep {
+			c.ObserveCost(true, lanes, m.lock(lanes))
+			continue
+		}
+		for j := 0; j < lanes; j++ {
+			c.ObserveCost(false, 1, m.seq)
+		}
 	}
-	for _, c := range cases {
-		d := NewStaticSched(c.min).Decide(c.lanes, nil)
-		if d.Lockstep != c.want || d.Reason != c.reason {
-			t.Errorf("StaticSched(min=%d).Decide(%d) = %+v, want lockstep=%v reason=%q",
-				c.min, c.lanes, d, c.want, c.reason)
+	return ds
+}
+
+// measured returns a scheduler that has measured both routes at every
+// lane count under m.
+func measured(m costModel) *CostSched {
+	c := NewCostSched(LockstepAuto)
+	c.ObserveCost(false, 1, m.seq)
+	for l := 2; l <= 8; l++ {
+		c.ObserveCost(true, l, m.lock(l))
+	}
+	return c
+}
+
+func TestCostSchedMLPLikeStaysSequential(t *testing.T) {
+	c := measured(mlpLike)
+	for l := 2; l <= 8; l++ {
+		if d := c.Decide(l); d.Lockstep || d.Reason != ReasonCost {
+			t.Errorf("MLP-like costs, %d lanes: %+v, want sequential/cost", l, d)
 		}
 	}
 }
 
-// TestAdaptiveSchedFlipsOnOccupancy is the acceptance check for
-// measurement-driven steering: the same candidate batch flips between
-// lockstep and sequential purely on the measured occupancy stream —
-// no request-count rule involved once the controller is warm.
-func TestAdaptiveSchedFlipsOnOccupancy(t *testing.T) {
-	// High-occupancy stream: every lane stays live to the end
-	// (laneStepsSum = lanes × batchSteps → occupancy fraction 1), so an
-	// 8-lane candidate estimates occupancy 8 ≫ crossover.
-	high := NewAdaptiveSched(0, autoLockstepMinLanes)
-	for i := 0; i < adaptiveWarmup; i++ {
-		high.ObserveOccupancy(8, 100, 800)
-	}
-	if d := high.Decide(3, nil); !d.Lockstep || d.Reason != ReasonOccHigh {
-		// 3 lanes — below the old static ≥6 rule — must still go lockstep
-		// when measured occupancy says it pays.
-		t.Fatalf("high-occupancy stream, 3 lanes: %+v, want lockstep/occupancy-high", d)
-	}
-
-	// Low-occupancy stream: lanes retire almost immediately (fraction
-	// 0.2), so even a full 8-lane batch estimates 1.6 < 2.0 and stays
-	// sequential — the static rule would have said lockstep.
-	low := NewAdaptiveSched(0, autoLockstepMinLanes)
-	for i := 0; i < adaptiveWarmup; i++ {
-		low.ObserveOccupancy(8, 100, 160)
-	}
-	d := low.Decide(8, nil)
-	if d.Lockstep || d.Reason != ReasonOccLow {
-		t.Fatalf("low-occupancy stream, 8 lanes: %+v, want sequential/occupancy-low", d)
-	}
-	if d.EstOccupancy < 1.5 || d.EstOccupancy > 1.7 {
-		t.Fatalf("estimated occupancy %.3f, want ≈1.6 (8 lanes × 0.2 fraction)", d.EstOccupancy)
-	}
-
-	// The EWMA tracks a workload shift: the low-occupancy controller fed
-	// a sustained high-occupancy stream flips back to lockstep.
-	for i := 0; i < 20; i++ {
-		low.ObserveOccupancy(8, 100, 800)
-	}
-	if d := low.Decide(8, nil); !d.Lockstep {
-		t.Fatalf("after occupancy recovered: %+v, want lockstep", d)
+func TestCostSchedCNNLikeGoesLockstepWhereCheaper(t *testing.T) {
+	c := measured(cnnLike)
+	for l := 2; l <= 8; l++ {
+		want := l >= 3 // L=2: 2.4 ms lockstep vs 2 ms sequential
+		if d := c.Decide(l); d.Lockstep != want || d.Reason != ReasonCost {
+			t.Errorf("CNN-like costs, %d lanes: %+v, want lockstep=%v/cost", l, d, want)
+		}
 	}
 }
 
-func TestAdaptiveSchedColdStart(t *testing.T) {
-	a := NewAdaptiveSched(0, autoLockstepMinLanes)
-	// No measurements and unpredicted lanes: the static fallback rule
-	// decides, labelled cold-start either way.
-	if d := a.Decide(8, nil); !d.Lockstep || d.Reason != ReasonColdStart {
-		t.Fatalf("cold 8 lanes: %+v, want lockstep/cold-start (static ≥%d rule)", d, autoLockstepMinLanes)
-	}
-	if d := a.Decide(3, nil); d.Lockstep || d.Reason != ReasonColdStart {
-		t.Fatalf("cold 3 lanes: %+v, want sequential/cold-start", d)
-	}
-	// A fully predicted batch needs no measurements: sum/max of the
-	// predicted exits is the batch's occupancy.
-	if d := a.Decide(3, []int{90, 100, 95}); !d.Lockstep || d.Reason != ReasonOccHigh {
-		t.Fatalf("cold fully-predicted batch (occ 2.85): %+v, want lockstep/occupancy-high", d)
-	}
-	if d := a.Decide(3, []int{8, 10, 100}); d.Lockstep || d.Reason != ReasonOccLow {
-		t.Fatalf("cold fully-predicted spread batch (occ 1.18): %+v, want sequential/occupancy-low", d)
-	}
-}
-
-func TestAdaptiveSchedCrossoverKnob(t *testing.T) {
-	// The same measured stream lands on opposite sides of two crossovers.
+func TestCostSchedColdStart(t *testing.T) {
 	for _, c := range []struct {
-		crossover float64
-		want      bool
-	}{{1.2, true}, {3.0, false}} {
-		a := NewAdaptiveSched(c.crossover, autoLockstepMinLanes)
-		for i := 0; i < adaptiveWarmup; i++ {
-			a.ObserveOccupancy(8, 100, 200) // fraction 0.25 → 8 lanes ≈ 2.0
+		name     string
+		m        costModel
+		lockstep bool
+	}{{"mlp", mlpLike, false}, {"cnn", cnnLike, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			s := NewCostSched(LockstepAuto)
+			ds := drive(s, c.m, 4, 64)
+			if ds[0].Reason != ReasonExplore || !ds[0].Lockstep {
+				t.Fatalf("first cold decision %+v, want lockstep/explore", ds[0])
+			}
+			// Settled: the second half is all cost decisions on the
+			// cheaper route, with nothing left to explore.
+			for i, d := range ds[32:] {
+				if d.Lockstep != c.lockstep || d.Reason != ReasonCost {
+					t.Fatalf("decision %d after warm-up: %+v, want lockstep=%v/cost", 32+i, d, c.lockstep)
+				}
+			}
+		})
+	}
+}
+
+func TestCostSchedExplorationShare(t *testing.T) {
+	s := NewCostSched(LockstepAuto)
+	const n = 8000
+	explored, lockstep := 0, 0
+	for i := 0; i < n; i++ {
+		d := drive(s, mlpLike, 2+i%7, 1)[0]
+		if d.Reason == ReasonExplore {
+			explored++
 		}
-		if d := a.Decide(8, nil); d.Lockstep != c.want {
-			t.Errorf("crossover %.1f: %+v, want lockstep=%v", c.crossover, d, c.want)
+		if d.Lockstep {
+			lockstep++
 		}
+	}
+	if explored > n/exploreEvery {
+		t.Errorf("explored %d of %d decisions, above the 1/%d share", explored, n, exploreEvery)
+	}
+	// The rejected route is re-measured as it goes stale, but a
+	// sequential-cheap model still runs almost everything sequentially.
+	if explored < n/costStaleAfter || float64(lockstep)/n > 0.1 {
+		t.Errorf("explored %d, lockstep %d of %d: want periodic re-measurement and lockstep share <= 0.1",
+			explored, lockstep, n)
+	}
+	// A shift in cost is found by re-measuring the stale route: the same
+	// scheduler fed CNN-like costs turns lockstep at 8 lanes.
+	ds := drive(s, cnnLike, 8, 2*costStaleAfter)
+	if d := ds[len(ds)-1]; !d.Lockstep || d.Reason != ReasonCost {
+		t.Errorf("after the cost shift: %+v, want lockstep/cost", d)
+	}
+}
+
+func TestCostSchedForcedModes(t *testing.T) {
+	for _, c := range []struct {
+		mode     string
+		m        costModel
+		lockstep bool
+	}{{LockstepOn, mlpLike, true}, {LockstepOff, cnnLike, false}} {
+		s := NewCostSched(c.mode)
+		for i, d := range drive(s, c.m, 4, 32) {
+			if d.Lockstep != c.lockstep || d.Reason != ReasonForced {
+				t.Fatalf("mode %s decision %d: %+v, want lockstep=%v/forced", c.mode, i, d, c.lockstep)
+			}
+		}
+	}
+	if got := NewCostSched(LockstepAuto).Name(); got != "cost" {
+		t.Errorf("auto Name() = %q, want cost", got)
 	}
 }
 
@@ -204,12 +246,25 @@ func TestExitHistoryBounded(t *testing.T) {
 }
 
 // TestAdaptiveBatcherOutcomeInvariance is the outcome-invariance
-// acceptance check at the batcher level: with the adaptive scheduler
-// and exit-aware forming live, staggered-exit traffic (mixed early-exit
-// and full-budget policies, so the history reorders lanes and the
-// controller's estimate moves) still produces exactly the sequential
-// engine's outcomes — scheduling only changes who shares a microbatch.
+// acceptance check at the batcher level: with exit-aware forming live
+// and each route forced in turn — then with the cost scheduler choosing
+// — staggered-exit traffic (mixed early-exit and full-budget policies,
+// so the history reorders lanes) still produces exactly the sequential
+// engine's outcomes: scheduling only changes who shares a microbatch.
 func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sched Scheduler
+	}{
+		{"lockstep", forceSched(true)},
+		{"sequential", forceSched(false)},
+		{"cost", NewCostSched(LockstepAuto)},
+	} {
+		t.Run(c.name, func(t *testing.T) { testOutcomeInvariance(t, c.sched) })
+	}
+}
+
+func testOutcomeInvariance(t *testing.T, sched Scheduler) {
 	pool, image := testPool(t, 1)
 	metrics := NewMetrics()
 	images := make([][]float64, 8)
@@ -238,9 +293,7 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 
 	history := NewExitHistory(0)
 	metrics.AttachExitHistory(history)
-	// fallbackMin 2 so even cold-start batches dispatch lockstep on the
-	// f64 plane (bit-identical, so invariance is an exact comparison).
-	sched := NewAdaptiveSched(0, 2)
+	// The f64 plane: bit-identical, so invariance is an exact comparison.
 	b := NewBatcher(pool, BatcherConfig{
 		Metrics: metrics, Sched: sched, History: history,
 		MaxBatch: 8, MaxDelay: 300 * time.Millisecond,
@@ -261,7 +314,7 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 					return
 				}
 				if out != want[i] {
-					t.Errorf("round %d request %d: adaptive-scheduled %+v, sequential %+v",
+					t.Errorf("round %d request %d: scheduled %+v, sequential %+v",
 						round, i, out, want[i])
 				}
 			}(i)
@@ -279,8 +332,13 @@ func TestAdaptiveBatcherOutcomeInvariance(t *testing.T) {
 	if s.ExitPredictionError.Count == 0 {
 		t.Errorf("no exit predictions were scored: %+v", s)
 	}
-	if samples, _ := sched.Stats(); samples == 0 {
-		t.Error("adaptive controller measured no batches")
+	if cs, ok := sched.(*CostSched); ok {
+		cs.mu.Lock()
+		seq := cs.seq.ns
+		cs.mu.Unlock()
+		if seq == 0 {
+			t.Error("cost scheduler measured no sequential engine time")
+		}
 	}
 
 	// Invariance across the response cache: attach it to the warmed

@@ -68,29 +68,14 @@ type Config struct {
 	// scatter-table walks, SIMD lane kernels), or back to back on the
 	// replica. See internal/README.md "The scheduling plane".
 	//
-	//   - LockstepAuto (the default): with the float32 plane on a packed
-	//     dispatch tier (sse or avx2), an occupancy feedback controller
-	//     (AdaptiveSched) steers each microbatch from measured lane
-	//     occupancy — lockstep exactly when the batch's estimated
-	//     occupancy clears OccupancyCrossover, the measured break-even
-	//     point (see BENCH_batch.json and internal/README.md "When
-	//     lockstep pays"). Until the controller has measured enough
-	//     batches it falls back to the static ≥6-request rule. On the
-	//     purego tier, or the f64 plane, auto is always sequential.
-	//   - LockstepStatic: the pre-measurement policy — a fixed
-	//     ≥6-request rule on packed f32 tiers, sequential otherwise
-	//     (what LockstepAuto meant before the adaptive controller).
+	//   - LockstepAuto (the default): the cost scheduler (CostSched)
+	//     sends an L-lane batch lockstep exactly when its measured
+	//     L-lane lockstep engine time is below L times the measured
+	//     per-image sequential engine time on this model, exploring an
+	//     unmeasured or stale route on a small fixed share of batches.
 	//   - LockstepOn / LockstepOff: force the choice for every
 	//     multi-request batch either way.
-	//
-	// Resolved once per model at Register time (after any
-	// kernels.ForceLevel / KERNELS_LEVEL override has been applied).
 	LockstepBatch string
-	// OccupancyCrossover overrides the occupancy at which the adaptive
-	// scheduler (LockstepAuto) switches a microbatch to lockstep
-	// execution. 0 uses DefaultOccupancyCrossover, the measured
-	// break-even on the packed tiers.
-	OccupancyCrossover float64
 	// ExitHistorySize bounds the per-model (image-hash → observed exit
 	// step) history behind exit-aware batch forming: 0 uses
 	// DefaultExitHistoryEntries, negative disables the history entirely
@@ -184,19 +169,10 @@ const (
 
 // LockstepBatch values for Config.
 const (
-	LockstepAuto   = "auto"
-	LockstepStatic = "static"
-	LockstepOn     = "on"
-	LockstepOff    = "off"
+	LockstepAuto = "auto"
+	LockstepOn   = "on"
+	LockstepOff  = "off"
 )
-
-// autoLockstepMinLanes is the batch size from which the static rule
-// (LockstepStatic, and LockstepAuto's cold-start fallback) routes a
-// microbatch through the lockstep simulator: the measured crossover on
-// the packed tiers lies between the B=4 (lockstep ~0.7–0.8× of
-// sequential) and B=8 (~1.4–2.0×) benchmark points, so the rule takes
-// the midpoint and leaves smaller batches on the sequential path.
-const autoLockstepMinLanes = 6
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
@@ -390,42 +366,13 @@ func (s *Server) buildCollaborators() (collaborators, error) {
 		return collaborators{}, fmt.Errorf("serve: unknown batch kernel %q (want %q or %q)",
 			s.cfg.BatchKernel, BatchKernelF32, BatchKernelF64)
 	}
-	f32 := s.cfg.BatchKernel != BatchKernelF64
-	// packed: the regime where lockstep can beat the sequential engine at
-	// all — the float32 plane on a SIMD dispatch tier (the resolved tier
-	// at this moment; ForceLevel/KERNELS_LEVEL overrides apply at
-	// startup). Outside it, auto and static never dispatch lockstep.
-	packed := f32 && kernels.ActiveLevel() != kernels.LevelPurego
-	var sched Scheduler
 	switch s.cfg.LockstepBatch {
-	case LockstepOn:
-		sched = NewStaticSched(2)
-	case LockstepOff:
-		sched = NewStaticSched(0)
-	case LockstepStatic:
-		// The pre-measurement rule: a fixed request-count threshold in
-		// the winning bracket of BENCH_batch.json, sequential off the
-		// packed tiers.
-		if packed {
-			sched = NewStaticSched(autoLockstepMinLanes)
-		} else {
-			sched = NewStaticSched(0)
-		}
-	case LockstepAuto:
-		// Measurement-driven: the occupancy feedback controller steers
-		// each microbatch from the measured occupancy of recent batches
-		// (and per-lane exit predictions), with the static rule as its
-		// cold-start fallback.
-		if packed {
-			sched = NewAdaptiveSched(s.cfg.OccupancyCrossover, autoLockstepMinLanes)
-		} else {
-			sched = NewStaticSched(0)
-		}
+	case LockstepAuto, LockstepOn, LockstepOff:
 	default:
-		return collaborators{}, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, %q, or %q)",
-			s.cfg.LockstepBatch, LockstepAuto, LockstepStatic, LockstepOn, LockstepOff)
+		return collaborators{}, fmt.Errorf("serve: unknown lockstep mode %q (want %q, %q, or %q)",
+			s.cfg.LockstepBatch, LockstepAuto, LockstepOn, LockstepOff)
 	}
-	c := collaborators{sched: sched, f32: f32}
+	c := collaborators{sched: NewCostSched(s.cfg.LockstepBatch), f32: s.cfg.BatchKernel != BatchKernelF64}
 	if s.cfg.ExitHistorySize >= 0 {
 		c.history = NewExitHistory(s.cfg.ExitHistorySize)
 	}
